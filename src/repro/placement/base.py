@@ -69,11 +69,12 @@ class PlacementManager(abc.ABC):
                 it falls back to the naive ``m * B`` (the ablation knob
                 for how much admission capacity the tightening buys).
             fast_paths: use the optimized admission hot paths (closed-form
-                port bounds, cached per-domain free-slot totals, binary
-                search over per-server VM counts).  ``False`` falls back
-                to the reference implementations -- kept as the
-                cross-check oracle for ``benchmarks/bench_hotpaths.py``;
-                both modes make identical admission decisions.
+                port bounds, cached per-domain summaries that skip domains
+                which cannot fit, binary search over per-server VM
+                counts).  ``False`` falls back to the reference
+                implementations -- kept as the cross-check oracle for
+                ``benchmarks/bench_hotpaths.py``; both modes make
+                identical admission decisions.
             audit: optional :class:`~repro.placement.audit.AdmissionAudit`
                 recording every decision with its binding constraint.
             tracer: optional :class:`repro.obs.TraceSink`; each decision
@@ -122,6 +123,13 @@ class PlacementManager(abc.ABC):
         self._total_free: int = topology.n_slots
         self._rack_touched: List[int] = [0] * topology.n_racks
         self._pod_touched: List[int] = [0] * topology.n_pods
+        # Per-rack largest free-slot count on any one server (server-scope
+        # search skips racks whose best server cannot hold the tenant) and
+        # per-rack count of reserve_capacity poisons on its servers' NIC-up
+        # and ToR-down ports (a rack with none and no touched server is
+        # wholly pristine, so a fill steps over it in one go).
+        self._rack_best: List[int] = [full] * topology.n_racks
+        self._rack_poisons: List[int] = [0] * topology.n_racks
         self.placements: Dict[int, Placement] = {}
         self._commits: Dict[int, List[Tuple[int, Contribution]]] = {}
         # Per-port ordered registry of every live contribution, keyed by
@@ -299,17 +307,15 @@ class PlacementManager(abc.ABC):
     def _scope_has_room(self, scope: str, n_vms: int) -> bool:
         """Whether any single domain of ``scope`` has ``n_vms`` free slots.
 
-        Only consulted off the hot path (rejection classification), so
-        the O(domains) scan is fine.
+        Only consulted off the hot path (rejection classification); the
+        per-rack best-server summary answers the server scope without a
+        server scan.
         """
         if scope == "cluster":
             return True  # the caller already checked _total_free
         if scope == "server":
-            return any(free >= n_vms for free in self.free_slots)
-        domains = (range(self.topology.n_racks) if scope == "rack"
-                   else range(self.topology.n_pods))
-        return any(self._domain_free(scope, d) >= n_vms
-                   for d in domains)
+            return any(best >= n_vms for best in self._rack_best)
+        return any(True for _ in self._candidate_domains(scope, n_vms))
 
     def remove(self, tenant_id: int) -> None:
         """Release a tenant's slots and reservations (exactly).
@@ -353,6 +359,55 @@ class PlacementManager(abc.ABC):
         elif before < full and after == full:
             self._rack_touched[rack] -= 1
             self._pod_touched[pod] -= 1
+        best = self._rack_best[rack]
+        if after > best:
+            self._rack_best[rack] = after
+        elif before == best and after < before:
+            # The server holding the rack's maximum shrank: rescan the rack.
+            start = rack * topo.servers_per_rack
+            self._rack_best[rack] = max(
+                self.free_slots[start:start + topo.servers_per_rack])
+
+    def _rebuild_caches(self) -> None:
+        """Recompute every per-domain summary from ``free_slots`` and the
+        port registry (snapshot restore loads those two raw)."""
+        topo = self.topology
+        full = topo.slots_per_server
+        per_rack = topo.servers_per_rack
+        self._rack_free = [0] * topo.n_racks
+        self._pod_free = [0] * topo.n_pods
+        self._rack_touched = [0] * topo.n_racks
+        self._pod_touched = [0] * topo.n_pods
+        self._rack_best = [0] * topo.n_racks
+        self._rack_poisons = [0] * topo.n_racks
+        for server, free in enumerate(self.free_slots):
+            rack = server // per_rack
+            pod = rack // topo.racks_per_pod
+            self._rack_free[rack] += free
+            self._pod_free[pod] += free
+            self._rack_best[rack] = max(self._rack_best[rack], free)
+            if free < full:
+                self._rack_touched[rack] += 1
+                self._pod_touched[pod] += 1
+        self._total_free = sum(self._rack_free)
+        for port_id, registry in self._port_registry.items():
+            rack = self._poison_rack(port_id)
+            if rack is not None:
+                self._rack_poisons[rack] += sum(
+                    1 for key in registry if key[0] == "reserve")
+
+    def _poison_rack(self, port_id: int) -> Optional[int]:
+        """Rack whose servers a poison at ``port_id`` makes non-pristine:
+        set for NIC-up and ToR-down ports, ``None`` for fabric ports."""
+        port = self.states[port_id].port
+        if port.kind is PortKind.NIC_UP or port.kind is PortKind.TOR_DOWN:
+            return port.index // self.topology.servers_per_rack
+        return None
+
+    def _rack_pristine(self, rack: int) -> bool:
+        """True when every server of ``rack`` is pristine: all slots free
+        and nothing reserved at its NIC-up or ToR-down port."""
+        return self._rack_touched[rack] == 0 and self._rack_poisons[rack] == 0
 
     # -- fault integration -------------------------------------------------------
 
@@ -403,6 +458,9 @@ class PlacementManager(abc.ABC):
                              f"at port {port_id}")
         registry[rkey] = contribution
         self.states[port_id].add(contribution)
+        rack = self._poison_rack(port_id)
+        if rack is not None:
+            self._rack_poisons[rack] += 1
         self.reservation_version += 1
 
     def release_capacity(self, port_id: int, key: str) -> None:
@@ -413,6 +471,9 @@ class PlacementManager(abc.ABC):
             raise KeyError(f"no reservation {key!r} at port {port_id}")
         del registry[rkey]
         self.states[port_id].reset_totals(registry.values())
+        rack = self._poison_rack(port_id)
+        if rack is not None:
+            self._rack_poisons[rack] -= 1
         self.reservation_version += 1
 
     def tenants_crossing(self, port_id: int) -> List[int]:
@@ -462,7 +523,6 @@ class PlacementManager(abc.ABC):
 
     def _search_scope(self, request: TenantRequest, scope: str
                       ) -> Optional[Dict[int, int]]:
-        topo = self.topology
         if scope == "server":
             if self.min_fault_domains > 1 and request.n_vms > 1:
                 return None  # a lone server is a single fault domain
@@ -472,16 +532,8 @@ class PlacementManager(abc.ABC):
                     if self._validate(request, assignment):
                         return assignment
             return None
-        if scope == "rack":
-            domain_ids: Sequence[int] = range(topo.n_racks)
-        elif scope == "pod":
-            domain_ids = range(topo.n_pods)
-        else:
-            domain_ids = (0,)
         pristine_failed = False
-        for domain in domain_ids:
-            if self._domain_free(scope, domain) < request.n_vms:
-                continue
+        for domain in self._candidate_domains(scope, request.n_vms):
             pristine = self._domain_pristine_id(scope, domain)
             if pristine_failed and pristine:
                 # An identical untouched domain already failed; all empty
@@ -501,21 +553,57 @@ class PlacementManager(abc.ABC):
     def _single_server_candidates(self, n_vms: int) -> Iterable[int]:
         """Servers worth probing for a whole-tenant single-server fit.
 
-        The fast path walks racks and skips every rack whose cached free
-        total is below ``n_vms`` -- no single server inside can fit the
-        tenant either -- which prunes most of a large datacenter in O(1)
-        per rack.  The slow path scans all servers (the seed behaviour).
+        The fast path yields nothing for a tenant wider than one server,
+        and otherwise walks only the racks whose best server (the cached
+        per-rack maximum of free slots) can hold the tenant -- O(1) per
+        skipped rack, in the same server order.  The slow path scans all
+        servers (the seed behaviour).
         """
         topo = self.topology
         if not self.fast_paths:
             yield from range(topo.n_servers)
             return
+        if n_vms > topo.slots_per_server:
+            return
         per_rack = topo.servers_per_rack
-        for rack in range(topo.n_racks):
-            if self._rack_free[rack] < n_vms:
-                continue
-            start = rack * per_rack
-            yield from range(start, start + per_rack)
+        for rack, best in enumerate(self._rack_best):
+            if best >= n_vms:
+                start = rack * per_rack
+                yield from range(start, start + per_rack)
+
+    def _candidate_domains(self, scope: str, n_vms: int) -> Iterable[int]:
+        """Domains of a rack/pod/cluster ``scope`` with at least ``n_vms``
+        free slots, in first-fit order.
+
+        The fast path reads the cached per-domain totals, and for racks
+        walks pods first, skipping every pod short of ``n_vms`` before
+        looking at its racks (a rack never has more free slots than its
+        pod).  The slow path sums every domain's servers.
+        """
+        topo = self.topology
+        if not self.fast_paths:
+            n_domains = {"rack": topo.n_racks, "pod": topo.n_pods}.get(
+                scope, 1)
+            for domain in range(n_domains):
+                if sum(self.free_slots[s] for s in
+                       self._domain_servers(scope, domain)) >= n_vms:
+                    yield domain
+            return
+        if scope == "rack":
+            rack_free = self._rack_free
+            per_pod = topo.racks_per_pod
+            for pod, free in enumerate(self._pod_free):
+                if free >= n_vms:
+                    start = pod * per_pod
+                    for rack in range(start, start + per_pod):
+                        if rack_free[rack] >= n_vms:
+                            yield rack
+        elif scope == "pod":
+            for pod, free in enumerate(self._pod_free):
+                if free >= n_vms:
+                    yield pod
+        elif self._total_free >= n_vms:
+            yield 0
 
     def _domain_servers(self, scope: str, domain: int) -> Sequence[int]:
         topo = self.topology
@@ -524,17 +612,6 @@ class PlacementManager(abc.ABC):
         if scope == "pod":
             return list(topo.servers_in_pod(domain))
         return list(range(topo.n_servers))
-
-    def _domain_free(self, scope: str, domain: int) -> int:
-        """Free slots in one search domain, O(1) on the fast path."""
-        if self.fast_paths:
-            if scope == "rack":
-                return self._rack_free[domain]
-            if scope == "pod":
-                return self._pod_free[domain]
-            return self._total_free
-        return sum(self.free_slots[s]
-                   for s in self._domain_servers(scope, domain))
 
     def _domain_pristine_id(self, scope: str, domain: int) -> bool:
         """True when no server in the domain hosts anything yet."""
@@ -557,17 +634,27 @@ class PlacementManager(abc.ABC):
         ``None`` if they don't fit."""
         remaining = request.n_vms
         assignment: Dict[int, int] = {}
-        k_estimate = max(1, len(available) - 1)
+        n_available = len(available)
+        k_estimate = max(1, n_available - 1)
         full = self.topology.slots_per_server
+        per_rack = self.topology.servers_per_rack
         pristine_failed = False
-        for position, server in enumerate(available):
-            if remaining == 0:
-                break
+        position = -1
+        while remaining and position + 1 < n_available:
+            position += 1
+            server = available[position]
             # The pristine flag is only consulted on failure paths, so it
             # is evaluated lazily: servers that accept VMs (the common
             # case) never touch the port states.
             pristine: Optional[bool] = None
             if pristine_failed:
+                if (self.fast_paths and server % per_rack == 0
+                        and self._rack_pristine(server // per_rack)):
+                    # Every server of a wholly pristine rack has free
+                    # slots, so the rack sits contiguously in `available`
+                    # and each of its servers would be skipped below.
+                    position += per_rack - 1
+                    continue
                 pristine = self._server_pristine(server, full)
                 if pristine:
                     continue  # identical to an empty server that failed
@@ -576,7 +663,7 @@ class PlacementManager(abc.ABC):
                 want = min(want, math.ceil(request.n_vms
                                            / self.min_fault_domains))
             if strategy == "balanced":
-                servers_left = len(available) - position
+                servers_left = n_available - position
                 want = min(want, math.ceil(remaining / servers_left))
             placed = self._max_vms_on_server(request, server, want,
                                              k_estimate, scope)

@@ -101,13 +101,13 @@ def restore_manager(manager: PlacementManager,
     """Load a snapshot into a freshly built manager (same topology).
 
     The registry is replayed verbatim in dumped (= insertion) order and
-    every port's totals rebuilt with ``reset_totals``; slot caches are
-    recomputed from the raw free-slot vector; ``_commits`` is rebuilt by
-    re-running the pure ``_port_contributions`` per placement.
+    every port's totals rebuilt with ``reset_totals``; the per-domain
+    summaries are recomputed from the raw free-slot vector and registry;
+    ``_commits`` is rebuilt by re-running the pure ``_port_contributions``
+    per placement.
     """
     manager.free_slots = [int(v) for v in dump["free_slots"]]
     manager._cordoned = {int(s): int(c) for s, c in dump["cordoned"]}
-    _recompute_slot_caches(manager)
     manager.placements = {}
     manager._commits = {}
     for tid, request_dump, vm_servers in dump["placements"]:
@@ -127,6 +127,7 @@ def restore_manager(manager: PlacementManager,
                                          peak_rate=peak,
                                          packet_slack=slack)
         manager.states[int(port_id)].reset_totals(registry.values())
+    manager._rebuild_caches()
     counters = dump.get("counters", {})
     manager.accepted = counters.get("accepted", 0)
     manager.rejected = counters.get("rejected", 0)
@@ -137,25 +138,6 @@ def restore_manager(manager: PlacementManager,
         TenantClass(k): v
         for k, v in counters.get("rejected_by_class", {}).items()}
     manager._decision_seq = counters.get("decision_seq", 0)
-
-
-def _recompute_slot_caches(manager: PlacementManager) -> None:
-    topo = manager.topology
-    full = topo.slots_per_server
-    manager._rack_free = [0] * topo.n_racks
-    manager._pod_free = [0] * topo.n_pods
-    manager._rack_touched = [0] * topo.n_racks
-    manager._pod_touched = [0] * topo.n_pods
-    manager._total_free = 0
-    for server, free in enumerate(manager.free_slots):
-        rack = server // topo.servers_per_rack
-        pod = rack // topo.racks_per_pod
-        manager._rack_free[rack] += free
-        manager._pod_free[pod] += free
-        manager._total_free += free
-        if free < full:
-            manager._rack_touched[rack] += 1
-            manager._pod_touched[pod] += 1
 
 
 # -- cluster controllers -----------------------------------------------------

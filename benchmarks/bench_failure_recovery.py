@@ -16,7 +16,11 @@ Two campaigns over the fault-injection subsystem:
   the current manager vs a seed-style subclass with the per-port
   release registry compiled out.  Flowsim: the same workload on a
   plain :class:`ClusterSim` vs one with an (idle) controller attached.
-  Both best-of-N ratios must stay under 1.02 (2% overhead).
+  The two sides run trial by trial, in alternating order, and each
+  ratio is the median over the trials of one side's time over the
+  other's in the same trial; both must stay under 1.02 (2% overhead).
+  The host's speed drifts in spells longer than a trial, so comparing
+  each side's best trial let one spell decide the result.
 
 Run::
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -189,13 +194,24 @@ def _placement_campaign(manager, n_requests: int, seed: int) -> int:
     return accepted
 
 
-def _best_of(n_trials: int, run) -> float:
-    return min(run() for _ in range(n_trials))
+def _interleaved(n_trials: int, run_a, run_b):
+    """Results of ``n_trials`` calls of each side, run trial by trial and
+    in alternating order, so both sides of a trial see the same host
+    speed."""
+    a, b = [], []
+    for i in range(n_trials):
+        if i % 2:
+            b.append(run_b())
+            a.append(run_a())
+        else:
+            a.append(run_a())
+            b.append(run_b())
+    return a, b
 
 
 def bench_overhead(quick: bool) -> dict:
     n_requests = 300 if quick else 1500
-    trials = 3 if quick else 5
+    trials = 3 if quick else 25
 
     def time_placement(manager_cls):
         def trial():
@@ -203,11 +219,14 @@ def bench_overhead(quick: bool) -> dict:
             t0 = time.perf_counter()
             _placement_campaign(manager, n_requests, seed=7)
             return time.perf_counter() - t0
-        return _best_of(trials, trial)
+        return trial
 
-    current_s = time_placement(SiloPlacementManager)
-    seed_style_s = time_placement(_SeedStylePlacementManager)
-    placement_ratio = current_s / seed_style_s
+    current, seed_style = _interleaved(
+        trials, time_placement(SiloPlacementManager),
+        time_placement(_SeedStylePlacementManager))
+    current_s, seed_style_s = min(current), min(seed_style)
+    placement_ratio = statistics.median(
+        a / b for a, b in zip(current, seed_style))
 
     horizon = 4.0 if quick else 12.0
 
@@ -224,15 +243,17 @@ def bench_overhead(quick: bool) -> dict:
             t0 = time.perf_counter()
             stats = sim.run(workload, until=horizon)
             return time.perf_counter() - t0, stats.finished_jobs
-        times, jobs = zip(*(trial() for _ in range(trials)))
-        assert len(set(jobs)) == 1, "armed run changed the simulation"
-        return min(times), jobs[0]
+        return trial
 
-    plain_s, plain_jobs = time_flowsim(armed=False)
-    armed_s, armed_jobs = time_flowsim(armed=True)
-    assert plain_jobs == armed_jobs, (
-        f"idle controller changed outcomes: {plain_jobs} != {armed_jobs}")
-    flowsim_ratio = armed_s / plain_s
+    plain, armed = _interleaved(trials, time_flowsim(armed=False),
+                                time_flowsim(armed=True))
+    jobs = {n for _, n in plain + armed}
+    assert len(jobs) == 1, f"idle controller changed outcomes: {jobs}"
+    plain_s = min(t for t, _ in plain)
+    armed_s = min(t for t, _ in armed)
+    plain_jobs = plain[0][1]
+    flowsim_ratio = statistics.median(
+        a / p for (a, _), (p, _) in zip(armed, plain))
 
     report = {
         "requests": n_requests,

@@ -24,7 +24,6 @@ from repro.pacer.eyeq import allocate_hose_rates
 from repro.pacer.hierarchy import PacerConfig
 from repro.core.engine import EventEngine
 from repro.phynet.shaper import VMShaper
-from repro.phynet.engine import Simulator
 from repro.phynet.packet import PRIORITY_BEST_EFFORT, PRIORITY_GUARANTEED, Packet
 from repro.phynet.port import DEFAULT_PROP_DELAY, OutputPort
 from repro.phynet.transport.base import Transport
@@ -93,7 +92,7 @@ class PacketNetwork:
     """Glue between topology, ports, VMs and transports."""
 
     def __init__(self, topology: TreeTopology,
-                 sim: Optional[Simulator] = None,
+                 sim: Optional[EventEngine] = None,
                  scheme: str = "tcp",
                  prop_delay: float = DEFAULT_PROP_DELAY,
                  dctcp_threshold: float = DEFAULT_DCTCP_K,
@@ -153,7 +152,7 @@ class PacketNetwork:
         self._tenant_vms: Dict[int, List[int]] = {}
         self._route_cache: Dict[Tuple[int, int], List[OutputPort]] = {}
         self._coordinating: Dict[int, bool] = {}
-        self._ready_waiters: Dict[int, List[Any]] = {}
+        self._ready_waiters: Dict[Tuple[int, int], List[Any]] = {}
         self._vswitches: Dict[int, OutputPort] = {}
 
     # -- construction ----------------------------------------------------------
@@ -283,8 +282,16 @@ class PacketNetwork:
 
     def notify_when_ready(self, vm_id: int, dst_vm: int,
                           callback: Any) -> None:
-        """Invoke ``callback`` once the shaper queue to ``dst_vm`` drains."""
-        self._ready_waiters.setdefault((vm_id, dst_vm), []).append(callback)
+        """Invoke ``callback`` once the shaper queue to ``dst_vm`` drains.
+
+        A callback already waiting on the pair is not added again: a
+        transport re-registers its pump on every attempt that finds the
+        shaper full, and a second call of the same pump could only find
+        it full again.
+        """
+        waiters = self._ready_waiters.setdefault((vm_id, dst_vm), [])
+        if callback not in waiters:
+            waiters.append(callback)
 
     def _release(self, packet: Packet) -> None:
         if packet.route:
@@ -385,7 +392,7 @@ class PacketNetwork:
         """Attach a queue-depth :class:`~repro.obs.TimeSeries` to every
         switch port; returns ``{port name: series}``.
 
-        Call before :meth:`Simulator.run`; afterwards each series holds
+        Call before :meth:`EventEngine.run`; afterwards each series holds
         the port's depth trajectory bucketed at ``interval`` seconds
         (the per-bucket ``max`` is the figure-ready worst-case occupancy).
         """

@@ -13,16 +13,25 @@ destination, computes for each head packet the earliest instant all three
 Fig. 8 buckets allow it out, releases the globally earliest, and re-arms.
 Aggregate output conforms to ``{B, S}``, per-destination output to its
 hose rate ``B_d``, and consecutive releases are spaced at ``Bmax``.
+
+The selection rule, exactly: a head packet's *eligible time* is the
+largest of the three buckets' ``would_stamp`` answers for it, and the
+shaper picks, among the non-empty queues in the order their
+destinations were first seen, the *first* one whose eligible time is
+strictly the smallest.  When the shared tenant or peak bucket
+binds, several destinations tie at that floor and the earliest-seen one
+wins, whatever its own bucket says.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Hashable, Optional
+from typing import Any, Callable, Deque, Dict, Hashable, Optional, Tuple
 
+from repro.core.engine import EventEngine
 from repro.pacer.hierarchy import PacerConfig
 from repro.pacer.token_bucket import TokenBucket
-from repro.phynet.engine import Simulator
 
 #: Slack when testing head-packet eligibility against the current clock:
 #: absorbs float error from the schedule()/now round trip.  Simulation
@@ -34,13 +43,18 @@ _TIME_EPS = 1e-12
 class VMShaper:
     """Hierarchical token-bucket scheduler for one VM's egress."""
 
-    def __init__(self, sim: Simulator, config: PacerConfig,
+    def __init__(self, sim: EventEngine, config: PacerConfig,
                  release: Callable[[Any], None]):
         self.sim = sim
         self.config = config
         self._release = release
         self._queues: Dict[Hashable, Deque[Any]] = {}
         self._dest_buckets: Dict[Hashable, TokenBucket] = {}
+        # ``(now, destination, eligible)`` of the last scan.  A scan reads
+        # only the clock, the queue heads and the buckets, so its answer
+        # stands until one of them moves; a new head, a release and a
+        # rate change drop it.
+        self._last_scan: Optional[Tuple[float, Any, float]] = None
         self._tenant = TokenBucket(config.bandwidth, config.burst,
                                    sim.now)
         self._peak = TokenBucket(config.peak_rate, config.packet_size,
@@ -57,7 +71,11 @@ class VMShaper:
     # -- configuration ------------------------------------------------------
 
     def destination_bucket(self, destination: Hashable) -> TokenBucket:
-        """The per-destination token bucket, created on first use."""
+        """The per-destination token bucket, created on first use.
+
+        Read it freely; change it only through
+        :meth:`set_destination_rate`, which keeps the schedule in step.
+        """
         bucket = self._dest_buckets.get(destination)
         if bucket is None:
             bucket = TokenBucket(self.config.bandwidth, self.config.burst,
@@ -69,6 +87,7 @@ class VMShaper:
                              rate: float) -> None:
         """Apply a hose coordination decision (Fig. 8's ``B_i``)."""
         self.destination_bucket(destination).set_rate(rate, self.sim.now)
+        self._last_scan = None
         self._reschedule()
 
     # -- data path -------------------------------------------------------------
@@ -83,6 +102,9 @@ class VMShaper:
         if queue is None:
             queue = deque()
             self._queues[packet.dst] = queue
+            self.destination_bucket(packet.dst)  # the scan reads it directly
+        if not queue:
+            self._last_scan = None
         queue.append(packet)
         self.backlog += packet.size
         self._dest_backlog[packet.dst] = (
@@ -91,37 +113,59 @@ class VMShaper:
             self.backlog_series.record(self.sim.now, self.backlog)
         self._reschedule()
 
-    def _head_eligible_at(self, destination: Hashable, size: float) -> float:
-        """Earliest time all three buckets allow a head packet out.
+    def _best_candidate(self) -> Tuple[Optional[Hashable], float]:
+        """The destination whose head goes next, and its eligible time.
 
-        Token balances only grow until a debit, so the per-bucket earliest
-        times can be combined with ``max``.
+        Applies the module's selection rule.  Token balances only grow
+        until a debit, so the three per-bucket times combine with
+        ``max``; the tenant/peak part (the *floor*) is shared by every
+        head of one size and is computed once per size.  A head whose
+        floor is not below the best time so far cannot win and is
+        skipped unasked, and since no eligible time is earlier than
+        ``now``, the first head eligible at ``now`` ends the scan.  The
+        answer is kept for later calls at the same ``now`` until the
+        queue heads or the buckets change.
         """
         now = self.sim.now
-        t = self.destination_bucket(destination).would_stamp(size, now)
-        t = max(t, self._tenant.would_stamp(size, now))
-        return max(t, self._peak.would_stamp(size, now))
-
-    def _best_candidate(self) -> Optional[Hashable]:
+        last = self._last_scan
+        if last is not None and last[0] == now:
+            return last[1], last[2]
+        tenant = self._tenant
+        peak = self._peak
+        buckets = self._dest_buckets
+        floors: Dict[float, float] = {}
         best_dest = None
-        best_time = None
+        best_time = math.inf
         for destination, queue in self._queues.items():
             if not queue:
                 continue
-            eligible = self._head_eligible_at(destination, queue[0].size)
-            if best_time is None or eligible < best_time:
-                best_time = eligible
+            size = queue[0].size
+            floor = floors.get(size)
+            if floor is None:
+                floor = max(tenant.would_stamp(size, now),
+                            peak.would_stamp(size, now))
+                floors[size] = floor
+            if floor >= best_time:
+                continue  # cannot be strictly earlier than the best
+            own = buckets[destination].would_stamp(size, now)
+            eligible = own if own > floor else floor
+            if eligible < best_time:
                 best_dest = destination
-        return best_dest
+                best_time = eligible
+                if eligible == now:
+                    break
+        self._last_scan = (now, best_dest, best_time)
+        return best_dest, best_time
 
     def _reschedule(self) -> None:
-        destination = self._best_candidate()
+        destination, eligible = self._best_candidate()
         if destination is None:
             return
-        queue = self._queues[destination]
-        eligible = self._head_eligible_at(destination, queue[0].size)
         if self._armed_at is not None and self._armed_at <= eligible:
             return  # an earlier-or-equal wakeup is already pending
+        self._arm(eligible)
+
+    def _arm(self, eligible: float) -> None:
         self._generation += 1
         self._armed_at = eligible
         self.sim.schedule(max(0.0, eligible - self.sim.now), self._fire,
@@ -131,19 +175,19 @@ class VMShaper:
         if generation != self._generation:
             return
         self._armed_at = None
-        destination = self._best_candidate()
+        destination, eligible = self._best_candidate()
         if destination is None:
             return
-        queue = self._queues[destination]
-        packet = queue[0]
         now = self.sim.now
-        if self._head_eligible_at(destination, packet.size) > now + _TIME_EPS:
-            self._reschedule()
+        if eligible > now + _TIME_EPS:
+            self._arm(eligible)
             return
-        queue.popleft()
+        queue = self._queues[destination]
+        packet = queue.popleft()
+        self._last_scan = None
         self.backlog -= packet.size
         self._dest_backlog[destination] -= packet.size
-        self.destination_bucket(destination).stamp(packet.size, now)
+        self._dest_buckets[destination].stamp(packet.size, now)
         self._tenant.stamp(packet.size, now)
         self._peak.stamp(packet.size, now)
         if self.backlog_series is not None:

@@ -7,13 +7,16 @@ max-min allocations to 1e-6 relative), and writes the measurements to
 ``BENCH_hotpaths.json``:
 
 * **placement** -- a churning admission campaign over
-  :class:`SiloPlacementManager` with ``fast_paths=True`` (closed-form
-  dual-rate bounds, binary-search fill, O(1) domain skipping) vs
-  ``fast_paths=False`` (Curve-per-probe, linear scans, as seeded);
+  :class:`SiloPlacementManager` (closed-form dual-rate bounds,
+  binary-search fill, O(1) domain skipping) vs
+  :class:`ReferenceSiloPlacementManager` (Curve-per-probe, linear scans,
+  as seeded);
 * **flowsim** -- :class:`ClusterSim` (heap-driven events, lazy fluids)
   vs :class:`ReferenceClusterSim` (rescan every flow every event);
 * **maxmin** -- :func:`max_min_fair` (water-level with link->flow
   incidence) vs :func:`max_min_fair_reference` (textbook rounds).
+
+The reference implementations are the test oracles in ``tests/oracles/``.
 
 Run::
 
@@ -39,18 +42,21 @@ import time
 from pathlib import Path
 
 _REPO = Path(__file__).resolve().parents[1]
-if str(_REPO / "src") not in sys.path:
-    sys.path.insert(0, str(_REPO / "src"))
+for _path in (_REPO / "src", _REPO / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
-from repro.flowsim import (ClusterSim, ReferenceClusterSim, TenantWorkload,
-                           WorkloadConfig)
-from repro.maxmin import (IncrementalMaxMin, max_min_fair,
-                          max_min_fair_reference)
+from repro.flowsim import ClusterSim, TenantWorkload, WorkloadConfig
+from repro.maxmin import IncrementalMaxMin, max_min_fair
 from repro.placement import SiloPlacementManager
 from repro.topology import TreeTopology
+
+from oracles.flowsim_reference import ReferenceClusterSim
+from oracles.maxmin_reference import max_min_fair_reference
+from oracles.placement_reference import ReferenceSiloPlacementManager
 
 #: Relative agreement demanded between optimized and reference results.
 TOLERANCE = 1e-6
@@ -58,7 +64,7 @@ TOLERANCE = 1e-6
 #: Paper-scale flowsim tiers, run fast-path only (the reference rescan
 #: loop is intractable here): name -> (pods, racks/pod, arrival rate,
 #: horizon).  10 servers/rack, 4 slots each, "maxmin" sharing so the
-#: incremental solver and the vectorized flow table carry the load.
+#: incremental solver carries the load.
 SCALE_TIERS = {
     "8k": ("8k-servers", 16, 50, 300.0, 6.0),
     "32k": ("32k-servers", 32, 100, 1200.0, 4.0),
@@ -133,8 +139,7 @@ def bench_placement(quick: bool) -> dict:
         t0 = time.perf_counter()
         fast_decisions, fast_layouts = _run_campaign(fast, n_requests, seed)
         fast_s = time.perf_counter() - t0
-        ref = SiloPlacementManager(_campaign_topology(pods, racks),
-                                   fast_paths=False)
+        ref = ReferenceSiloPlacementManager(_campaign_topology(pods, racks))
         t0 = time.perf_counter()
         ref_decisions, ref_layouts = _run_campaign(ref, n_requests, seed)
         ref_s = time.perf_counter() - t0

@@ -236,8 +236,8 @@ def fig16_scale_cell(policy: str, servers: int, boost: float,
     the arrival rate scaled to the larger slot pool by
     ``TenantWorkload.for_occupancy``.  Tractable at 32K servers because
     the fluid simulator's incremental max-min solver re-waterfills only
-    the touched component per event and flow state advances as numpy
-    array ops (see ``repro.flowsim.sim``).
+    the touched component per event and only flows whose rate changed
+    are touched (see ``repro.flowsim.sim``).
     """
     from repro.flowsim import ClusterSim, TenantWorkload
     from repro.topology import TreeTopology

@@ -1,7 +1,7 @@
 """Shared discrete-event core for every simulator fidelity.
 
 Both simulators used to own their event machinery: the packet engine
-(:mod:`repro.phynet.engine`) kept a callback heap, and the fluid
+(the seed ``phynet/engine.py``) kept a callback heap, and the fluid
 simulator (:mod:`repro.flowsim.sim`) kept its own clock, sequence
 counter, and fault-clock cursor inside its run loop.  This module
 factors the common core -- calendar queue, deterministic tie-breaking,
@@ -10,9 +10,10 @@ the *consumer*, not of the event machinery:
 
 * **Callback consumers** (the packet network) use the full loop:
   :meth:`EventEngine.schedule` / :meth:`EventEngine.schedule_at` /
-  :meth:`EventEngine.run`, with the exact semantics of the retained
-  reference ``phynet/engine.Simulator`` (events stamped exactly at
-  ``until`` still fire; simultaneous events fire in scheduling order).
+  :meth:`EventEngine.run`, with the exact semantics of the seed packet
+  loop, kept as the test oracle ``tests/oracles/engine.py`` (events
+  stamped exactly at ``until`` still fire; simultaneous events fire in
+  scheduling order).
 * **Loop consumers** (the fluid simulator) keep their own specialized
   heaps for epoch-invalidated finish predictions but draw the clock
   (:attr:`EventEngine.now`), tie-breaking sequence numbers
@@ -48,10 +49,10 @@ __all__ = ["EventEngine"]
 class EventEngine:
     """Event loop with O(log n) scheduling, cancellation, and fault hooks.
 
-    Drop-in compatible with the retained ``phynet/engine.Simulator``
-    reference (same ``now`` / ``tracer`` / ``schedule`` /
-    ``schedule_at`` / ``run`` / ``stop`` / ``pending_events`` surface
-    and semantics), plus the extensions that let both fidelities share
+    Drop-in compatible with the seed packet loop in
+    ``tests/oracles/engine.py`` (same ``now`` / ``tracer`` /
+    ``schedule`` / ``schedule_at`` / ``run`` / ``stop`` /
+    ``pending_events`` surface and semantics), plus the extensions that let both fidelities share
     it: cancellation handles, an exported sequence counter, guarded
     trace emission, and fault-schedule wiring.
     """
@@ -124,8 +125,8 @@ class EventEngine:
         """Drain events until the queue empties or ``until`` is reached.
 
         Returns the virtual time at which the run stopped.  Events
-        stamped exactly at ``until`` still fire, matching the reference
-        engine's contract.
+        stamped exactly at ``until`` still fire, matching the seed
+        loop's contract.
         """
         self._running = True
         queue = self._queue

@@ -20,43 +20,30 @@ finish by bumping its epoch; stale heap entries are discarded on pop.
 Carried bytes are integrated from an aggregate carried-rate sum rather
 than per flow.  An event therefore costs O(affected flows · log n)
 instead of the O(total flows) rescan of the original implementation,
-which is preserved verbatim as
-:class:`repro.flowsim.reference.ReferenceClusterSim` and asserted
-equivalent by the property tests and ``benchmarks/bench_hotpaths.py``.
+which lives on as the test oracle ``tests/oracles/flowsim_reference.py``
+and is asserted equivalent by the property tests and
+``benchmarks/bench_hotpaths.py``.
 
-Two further mechanisms carry the simulator to the paper's 32K-server
-scale:
-
-* shared rates come from a persistent
-  :class:`repro.maxmin.IncrementalMaxMin` -- an arrival or drain
-  re-waterfills only the connected component of the flow-link graph it
-  touched, and only the flows whose rate actually changed are re-set;
-* mutable flow state (``remaining``/``rate``/``updated``) lives in a
-  columnar :class:`repro.flowsim.job.FlowTable`, so batch rate
-  assignment and ``_materialize``-style advancement are numpy array
-  operations, with finish events heapified per recompute instead of
-  pushed per flow.
-
-Both are bit-compatible with the scalar path (numpy element-wise float64
-arithmetic is IEEE double arithmetic, and every accumulator keeps its
-sequential update order), so existing campaign artifacts stay
-byte-identical.
+Shared rates come from a persistent
+:class:`repro.maxmin.IncrementalMaxMin`: an arrival or drain
+re-waterfills only the connected component of the flow-link graph it
+touched, and only the flows whose rate actually changed are re-set,
+one ``_set_rate`` call each.  That is what carries the simulator to
+the paper's 32K-server scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from repro.core.engine import EventEngine
 from repro.core.tenant import TenantClass, TenantRequest
 from repro.faults.model import FaultEvent
 from repro.faults.schedule import FaultClock, FaultSchedule
-from repro.flowsim.job import FlowState, FlowTable, TenantJob
+from repro.flowsim.job import FlowState, TenantJob
 from repro.flowsim.workload import TenantArrival, TenantWorkload
 from repro.maxmin import IncrementalMaxMin
 from repro.obs.events import FaultInjected, FlowFinish, FlowStart
@@ -71,9 +58,6 @@ _SHARING = ("reserved", "maxmin")
 _DONE_EPS = 1e-6
 #: Event-time slop, matching the reference loop's arrival/completion slop.
 _TIME_EPS = 1e-12
-#: Rate batches below this size take the scalar ``_set_rate`` path; the
-#: numpy fan-out only pays for itself on bulk recomputes.
-_BATCH_MIN = 16
 
 
 @dataclass
@@ -152,8 +136,6 @@ class ClusterSim:
             port.port_id: port.capacity for port in self.topology.ports}
         self._rates_dirty = True
         # -- incremental sharing ----------------------------------------------
-        #: Columnar storage for every live flow's mutable fluid state.
-        self._flow_table = FlowTable()
         #: Persistent max-min solver over the full link capacities
         #: ("maxmin" sharing only).
         self._mm_solver: Optional[IncrementalMaxMin] = None
@@ -321,6 +303,9 @@ class ClusterSim:
 
     def _build_flows(self, arrival: TenantArrival,
                      vm_servers: List[int]) -> List[FlowState]:
+        # Flow sizes may arrive as ints (``units.MB``); the fluid state is
+        # float arithmetic throughout, so it starts as a float.
+        size = float(max(arrival.flow_bytes, 1.0))
         flows = []
         for src_idx, dst_idx in arrival.pairs:
             src_server = vm_servers[src_idx]
@@ -329,11 +314,7 @@ class ClusterSim:
                           self.topology.path_ports(src_server, dst_server))
             flows.append(FlowState(
                 tenant_id=arrival.request.tenant_id, src_vm=src_idx,
-                dst_vm=dst_idx, links=links,
-                remaining=max(arrival.flow_bytes, 1.0)))
-        table = self._flow_table
-        for flow in flows:
-            table.adopt(flow)
+                dst_vm=dst_idx, links=links, remaining=size))
         return flows
 
     def _assign_reserved_rates(self, job: TenantJob, now: float) -> None:
@@ -440,90 +421,18 @@ class ClusterSim:
 
     def _apply_rates(self, changed: Dict[Tuple[int, int], float],
                      now: float) -> None:
-        """Apply a solver's changed rates, batched through the flow table.
-
-        Bit-compatible with calling ``_set_rate`` per flow in ``changed``
-        order: the element-wise advancement runs as float64 array ops
-        (IEEE-identical to the scalar expressions), while the
-        carried-rate/carried-bytes accumulators and event sequence
-        numbers update in the same sequential order.
-        """
+        """Apply a solver's changed rates, in ``changed`` order."""
         flows_map = self._solver_flows
         items = [(flows_map[key], rate if rate > 0.0 else 0.0)
                  for key, rate in changed.items()]
-        if len(items) < _BATCH_MIN:
-            for flow, rate in items:
-                self._set_rate(flow, rate, now)
-        else:
-            self._apply_rates_batch(items, now)
+        for flow, rate in items:
+            self._set_rate(flow, rate, now)
         for flow, _ in items:
             if flow.remaining <= _DONE_EPS:
                 # Drained inside the rate change (aggregate overshoot):
                 # the next from-scratch solve would skip it, so the
                 # persistent solver must drop it too.
                 self._solver_discard(flow)
-
-    def _apply_rates_batch(self, items: List[Tuple[FlowState, float]],
-                           now: float) -> None:
-        table = self._flow_table
-        n = len(items)
-        slots = np.empty(n, dtype=np.intp)
-        new = np.empty(n, dtype=np.float64)
-        for j, (flow, rate) in enumerate(items):
-            slots[j] = flow._slot
-            new[j] = rate
-        cur = table.rate[slots]
-        keep = new != cur
-        if not keep.all():
-            picked = np.nonzero(keep)[0]
-            items = [items[j] for j in picked]
-            slots = slots[picked]
-            new = new[picked]
-            cur = cur[picked]
-            if not items:
-                return
-        rem = table.remaining[slots]
-        dt = now - table.updated[slots]
-        moving = (dt > 0.0) & (cur > 0.0) & (rem > 0.0)
-        moved = np.where(moving, cur * dt, 0.0)
-        over = moved > rem
-        if over.any():
-            stats = self.stats
-            for j in np.nonzero(over)[0]:
-                # Aggregate integral overshoot refunds, in batch order
-                # (same accumulation order as the scalar path).
-                stats.carried_bytes -= ((moved[j] - rem[j])
-                                        * len(items[j][0].links))
-            np.minimum(moved, rem, out=moved)
-        rem_new = rem - moved
-        table.remaining[slots] = rem_new
-        table.updated[slots] = now
-        table.rate[slots] = new
-        carried = self._carried_rate
-        next_seq = self.engine.next_seq
-        recorder = self._port_usage
-        events = []
-        for j, (flow, rate) in enumerate(items):
-            carried += (rate - cur[j]) * len(flow.links)
-            if recorder is not None:
-                recorder.record(flow.links, float(cur[j]), rate, now)
-            flow.epoch += 1
-            if rate > 0.0 and rem_new[j] > _DONE_EPS:
-                finish = now + max(rem_new[j] / rate, 1e-9)
-                events.append((float(finish), next_seq(), flow.epoch, flow))
-        self._carried_rate = carried
-        self.rate_update_count += len(items)
-        flow_events = self._flow_events
-        if events:
-            # Pop order only depends on the (finish, seq) total order, so
-            # rebuilding the heap in one pass is equivalent to pushing
-            # entry by entry -- and cheaper for bulk inserts.
-            if 4 * len(events) >= len(flow_events):
-                flow_events.extend(events)
-                heapify(flow_events)
-            else:
-                for event in events:
-                    heappush(flow_events, event)
 
     # -- event engine ----------------------------------------------------------
 
@@ -623,13 +532,10 @@ class ClusterSim:
             # The reference loop collects same-instant finishers in
             # admission order (its jobs-dict scan); match it.
             self._ready.sort(key=self._admit_order.__getitem__)
-        table = self._flow_table
         for tenant_id in self._ready:
             job = self.jobs.pop(tenant_id, None)
             if job is None:
                 continue
-            for flow in job.flows:
-                table.release(flow)
             job.finish = now
             self.stats.finished_jobs += 1
             self.stats.job_durations.append(job.duration)
@@ -687,14 +593,12 @@ class ClusterSim:
         is pure simulator bookkeeping.
         """
         tenant_id = job.tenant_id
-        table = self._flow_table
         for flow in job.flows:
             if not flow.done:
                 self._set_rate(flow, 0.0, now)
                 flow.remaining = 0.0
                 self._live_flows -= 1
             self._solver_discard(flow)
-            table.release(flow)
         if self._pending_linkless:
             self._pending_linkless = [
                 f for f in self._pending_linkless
@@ -867,37 +771,9 @@ class ClusterSim:
                     # stall, frozen until repair (or the end of the run).
         # Bring every live flow up to the final clock so post-run
         # inspection (and the carried-bytes refunds) see current state.
-        self._materialize_batch(
-            [flow for job in self.jobs.values() for flow in job.flows
-             if flow.rate > 0.0 and flow.remaining > _DONE_EPS], now)
+        for job in self.jobs.values():
+            for flow in job.flows:
+                if flow.rate > 0.0 and flow.remaining > _DONE_EPS:
+                    self._materialize(flow, now)
         stats.elapsed = now
         return stats
-
-    def _materialize_batch(self, flows: List[FlowState],
-                           now: float) -> None:
-        """Vectorized :meth:`_materialize` over table-attached flows.
-
-        Bit-compatible with the scalar loop: element-wise float64 array
-        ops, with overshoot refunds applied in list order.
-        """
-        if len(flows) < _BATCH_MIN:
-            for flow in flows:
-                self._materialize(flow, now)
-            return
-        table = self._flow_table
-        slots = np.fromiter((flow._slot for flow in flows), dtype=np.intp,
-                            count=len(flows))
-        rem = table.remaining[slots]
-        cur = table.rate[slots]
-        dt = now - table.updated[slots]
-        moving = (dt > 0.0) & (cur > 0.0) & (rem > 0.0)
-        moved = np.where(moving, cur * dt, 0.0)
-        over = moved > rem
-        if over.any():
-            stats = self.stats
-            for j in np.nonzero(over)[0]:
-                stats.carried_bytes -= ((moved[j] - rem[j])
-                                        * len(flows[j].links))
-            np.minimum(moved, rem, out=moved)
-        table.remaining[slots] = rem - moved
-        table.updated[slots] = now

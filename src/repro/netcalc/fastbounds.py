@@ -12,9 +12,9 @@ arithmetic deliberately mirrors, operation for operation, what
 ``Curve([...])`` + :func:`~repro.netcalc.bounds.backlog_bound` /
 :func:`~repro.netcalc.bounds.delay_bound` would do -- including the prune
 epsilons, the breakpoint evaluation order and the stability test -- so the
-fast path is **bit-identical** to the reference path, not merely close.
-The Curve-based path stays available as a cross-check oracle
-(``PortState.backlog_reference`` etc.) and the property tests in
+closed form is **bit-identical** to the Curve-based evaluation, not
+merely close.  That evaluation is the test oracle
+``tests/oracles/placement_reference.py``, and the property tests in
 ``tests/placement/test_fast_admission.py`` assert exact agreement.
 """
 
@@ -27,7 +27,8 @@ from typing import Tuple
 _EPS = 1e-12
 
 #: Must match ``repro.netcalc.bounds._REL_TOL`` (the relative stability
-#: slack) -- the fast and reference paths are asserted bit-identical.
+#: slack) -- the closed form and the Curve-based oracle are asserted
+#: bit-identical.
 _REL_TOL = 1e-9
 
 _INF = math.inf

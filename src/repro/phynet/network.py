@@ -121,10 +121,9 @@ class PacketNetwork:
         if scheme not in known:
             raise ValueError(f"unknown scheme {scheme!r}; pick from {known}")
         self.topology = topology
-        # The shared event core by default; an injected ``sim`` (e.g. the
-        # retained ``phynet.engine.Simulator`` reference, or an engine
-        # shared with another fidelity) is honoured as long as it speaks
-        # the same surface.
+        # The shared event core by default; an injected ``sim`` (e.g. an
+        # engine shared with another fidelity) is honoured as long as it
+        # speaks the same surface.
         self.sim = sim if sim is not None else EventEngine()
         self.scheme = scheme
         self.coordination_interval = coordination_interval

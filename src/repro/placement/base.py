@@ -56,7 +56,6 @@ class PlacementManager(abc.ABC):
     def __init__(self, topology: TreeTopology,
                  min_fault_domains: int = 1,
                  hose_tightening: bool = True,
-                 fast_paths: bool = True,
                  audit: Optional[AdmissionAudit] = None,
                  tracer=None) -> None:
         """Args:
@@ -68,13 +67,6 @@ class PlacementManager(abc.ABC):
                 ``min(m, N-m) * B`` when summing tenant curves; disabling
                 it falls back to the naive ``m * B`` (the ablation knob
                 for how much admission capacity the tightening buys).
-            fast_paths: use the optimized admission hot paths (closed-form
-                port bounds, cached per-domain summaries that skip domains
-                which cannot fit, binary search over per-server VM
-                counts).  ``False`` falls back to the reference
-                implementations -- kept as the cross-check oracle for
-                ``benchmarks/bench_hotpaths.py``; both modes make
-                identical admission decisions.
             audit: optional :class:`~repro.placement.audit.AdmissionAudit`
                 recording every decision with its binding constraint.
             tracer: optional :class:`repro.obs.TraceSink`; each decision
@@ -87,7 +79,6 @@ class PlacementManager(abc.ABC):
         self.topology = topology
         self.min_fault_domains = min_fault_domains
         self.hose_tightening = hose_tightening
-        self.fast_paths = fast_paths
         self.states: Dict[int, PortState] = {
             port.port_id: PortState(port) for port in topology.ports
         }
@@ -513,7 +504,7 @@ class PlacementManager(abc.ABC):
         allowed = self._allowed_scope(request)
         if allowed is None:
             return None
-        if self.fast_paths and self._total_free < request.n_vms:
+        if self._total_free < request.n_vms:
             return None  # not enough slots anywhere: every scope fails
         for scope in SCOPES[:SCOPES.index(allowed) + 1]:
             assignment = self._search_scope(request, scope)
@@ -553,16 +544,12 @@ class PlacementManager(abc.ABC):
     def _single_server_candidates(self, n_vms: int) -> Iterable[int]:
         """Servers worth probing for a whole-tenant single-server fit.
 
-        The fast path yields nothing for a tenant wider than one server,
-        and otherwise walks only the racks whose best server (the cached
-        per-rack maximum of free slots) can hold the tenant -- O(1) per
-        skipped rack, in the same server order.  The slow path scans all
-        servers (the seed behaviour).
+        Yields nothing for a tenant wider than one server, and otherwise
+        walks only the racks whose best server (the cached per-rack
+        maximum of free slots) can hold the tenant -- O(1) per skipped
+        rack, in server order.
         """
         topo = self.topology
-        if not self.fast_paths:
-            yield from range(topo.n_servers)
-            return
         if n_vms > topo.slots_per_server:
             return
         per_rack = topo.servers_per_rack
@@ -575,20 +562,11 @@ class PlacementManager(abc.ABC):
         """Domains of a rack/pod/cluster ``scope`` with at least ``n_vms``
         free slots, in first-fit order.
 
-        The fast path reads the cached per-domain totals, and for racks
-        walks pods first, skipping every pod short of ``n_vms`` before
-        looking at its racks (a rack never has more free slots than its
-        pod).  The slow path sums every domain's servers.
+        Reads the cached per-domain totals, and for racks walks pods
+        first, skipping every pod short of ``n_vms`` before looking at its
+        racks (a rack never has more free slots than its pod).
         """
         topo = self.topology
-        if not self.fast_paths:
-            n_domains = {"rack": topo.n_racks, "pod": topo.n_pods}.get(
-                scope, 1)
-            for domain in range(n_domains):
-                if sum(self.free_slots[s] for s in
-                       self._domain_servers(scope, domain)) >= n_vms:
-                    yield domain
-            return
         if scope == "rack":
             rack_free = self._rack_free
             per_pod = topo.racks_per_pod
@@ -615,18 +593,11 @@ class PlacementManager(abc.ABC):
 
     def _domain_pristine_id(self, scope: str, domain: int) -> bool:
         """True when no server in the domain hosts anything yet."""
-        if self.fast_paths:
-            if scope == "rack":
-                return self._rack_touched[domain] == 0
-            if scope == "pod":
-                return self._pod_touched[domain] == 0
-            return self._total_free == self.topology.n_slots
-        return self._domain_pristine(self._domain_servers(scope, domain))
-
-    def _domain_pristine(self, servers: Sequence[int]) -> bool:
-        """True when no server in the domain hosts anything yet."""
-        full = self.topology.slots_per_server
-        return all(self.free_slots[s] == full for s in servers)
+        if scope == "rack":
+            return self._rack_touched[domain] == 0
+        if scope == "pod":
+            return self._pod_touched[domain] == 0
+        return self._total_free == self.topology.n_slots
 
     def _fill(self, request: TenantRequest, available: Sequence[int],
               strategy: str, scope: str) -> Optional[Dict[int, int]]:
@@ -648,7 +619,7 @@ class PlacementManager(abc.ABC):
             # case) never touch the port states.
             pristine: Optional[bool] = None
             if pristine_failed:
-                if (self.fast_paths and server % per_rack == 0
+                if (server % per_rack == 0
                         and self._rack_pristine(server // per_rack)):
                     # Every server of a wholly pristine rack has free
                     # slots, so the rack sits contiguously in `available`
@@ -693,7 +664,7 @@ class PlacementManager(abc.ABC):
             return want  # uncongested common case: one probe
         if want <= 1:
             return 0
-        if self.fast_paths and 2 * want <= request.n_vms:
+        if 2 * want <= request.n_vms:
             # Monotone regime: every probed m sits on the rising half of
             # the tightened hose min(m, N-m), so the uplink contribution
             # grows componentwise with m and ok(m) is non-increasing, and
@@ -850,19 +821,13 @@ class PlacementManager(abc.ABC):
         ``(m_senders, k_servers, kind, scope)``, so it is memoised per
         request (the memo is cleared on entry to :meth:`place`).
         """
-        if self.fast_paths:
-            # Keyed by kind.value: hashing an Enum member goes through a
-            # Python-level __hash__, hashing its interned string does not.
-            key = (m_senders, k_servers, kind.value, scope)
-            cached = self._contribution_memo.get(key)
-            if cached is not None:
-                return cached
-            upstream = self._upstream_qcap[(kind.value, scope)]
-        else:
-            # Reference mode recomputes from the topology every time, as
-            # the seed implementation did (kept as the timing baseline).
-            key = None
-            upstream = self.topology.upstream_queue_capacity(kind, scope)
+        # Keyed by kind.value: hashing an Enum member goes through a
+        # Python-level __hash__, hashing its interned string does not.
+        key = (m_senders, k_servers, kind.value, scope)
+        cached = self._contribution_memo.get(key)
+        if cached is not None:
+            return cached
+        upstream = self._upstream_qcap[(kind.value, scope)]
         guarantee = request.guarantee
         n = request.n_vms
         if guarantee is None or m_senders <= 0 or m_senders >= n:
@@ -882,8 +847,7 @@ class PlacementManager(abc.ABC):
             peak = max(bandwidth, capped)
             contribution = Contribution(bandwidth=bandwidth, burst=burst,
                                         peak_rate=peak, packet_slack=slack)
-        if key is not None:
-            self._contribution_memo[key] = contribution
+        self._contribution_memo[key] = contribution
         return contribution
 
     # -- bookkeeping ---------------------------------------------------------------

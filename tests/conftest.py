@@ -1,0 +1,10 @@
+"""Test-suite setup: make ``tests/`` importable so every test (and the
+benchmarks) can reach the reference implementations in
+:mod:`oracles`."""
+
+import sys
+from pathlib import Path
+
+_TESTS = str(Path(__file__).resolve().parent)
+if _TESTS not in sys.path:
+    sys.path.insert(0, _TESTS)

@@ -1,85 +1,19 @@
-"""Columnar flow-state storage and its equivalence guarantees.
+"""Per-flow fluid state under the simulator.
 
-Covers the :class:`~repro.flowsim.job.FlowTable` slot lifecycle, the
-scalar/columnar property proxying on :class:`FlowState`, the simulator's
-batched (numpy) versus scalar rate-application paths being bit-identical,
-and the no-op-rate-skip regression: a recompute touching one max-min
-component must not re-rate flows in a disjoint component.
+Covers the no-op-rate-skip regression (a recompute touching one max-min
+component must not re-rate flows in a disjoint component) and the type
+of the state itself: ``remaining``/``rate``/``updated`` stay plain
+Python floats through a run, so reprs and anything serialized from them
+never carry a numpy scalar.
 """
-
-import pytest
 
 from repro import units
 from repro.core.guarantees import NetworkGuarantee
 from repro.core.tenant import TenantClass, TenantRequest
-from repro.flowsim import ClusterSim, FlowState, FlowTable, TenantWorkload
-from repro.flowsim import sim as sim_module
+from repro.flowsim import ClusterSim, TenantWorkload
 from repro.flowsim.workload import TenantArrival, WorkloadConfig
 from repro.placement import LocalityPlacementManager
 from repro.topology import TreeTopology
-
-
-def make_flow(remaining=100.0, rate=2.0, updated=1.5):
-    return FlowState(tenant_id=1, src_vm=0, dst_vm=1, links=(3, 4),
-                     remaining=remaining, rate=rate, updated=updated)
-
-
-class TestFlowTable:
-    def test_adopt_moves_state_to_columns(self):
-        table = FlowTable(capacity=4)
-        flow = make_flow(remaining=100.0, rate=2.0, updated=1.5)
-        table.adopt(flow)
-        assert len(table) == 1
-        assert flow.remaining == 100.0
-        assert flow.rate == 2.0
-        assert flow.updated == 1.5
-        flow.remaining = 40.0
-        assert table.remaining[flow._slot] == 40.0
-        table.rate[flow._slot] = 7.0
-        assert flow.rate == 7.0
-
-    def test_release_copies_back_to_scalars(self):
-        table = FlowTable(capacity=2)
-        flow = make_flow()
-        table.adopt(flow)
-        flow.remaining = 12.5
-        flow.rate = 3.0
-        table.release(flow)
-        assert len(table) == 0
-        assert flow._table is None
-        assert flow.remaining == 12.5
-        assert flow.rate == 3.0
-        # Detached flows are plain scalars again.
-        flow.remaining = 9.0
-        assert flow._remaining == 9.0
-
-    def test_growth_preserves_values(self):
-        table = FlowTable(capacity=2)
-        flows = [make_flow(remaining=float(i)) for i in range(40)]
-        for flow in flows:
-            table.adopt(flow)
-        assert len(table) == 40
-        assert [f.remaining for f in flows] == [float(i) for i in range(40)]
-
-    def test_slot_recycling(self):
-        table = FlowTable(capacity=4)
-        first = make_flow()
-        table.adopt(first)
-        slot = first._slot
-        table.release(first)
-        second = make_flow(remaining=5.0)
-        table.adopt(second)
-        assert second._slot == slot
-        assert second.remaining == 5.0
-
-    def test_double_adopt_rejected(self):
-        table = FlowTable()
-        flow = make_flow()
-        table.adopt(flow)
-        with pytest.raises(ValueError):
-            table.adopt(flow)
-        with pytest.raises(ValueError):
-            FlowTable().release(flow)
 
 
 def _locality_topo():
@@ -129,36 +63,34 @@ class TestNoOpRateSkip:
         assert sim._mm_solver.affected_flow_count == 2
 
 
-class TestBatchScalarEquivalence:
-    def test_batched_paths_match_scalar_paths_exactly(self):
-        """Forcing the numpy batch path yields bit-identical stats.
+class TestPlainFloatState:
+    def test_maxmin_run_leaves_plain_float_flow_state(self):
+        """Every flow's mutable state is a Python float after a run.
 
-        numpy float64 element-wise arithmetic is IEEE double
-        arithmetic, so `_apply_rates_batch` / `_materialize_batch`
-        must reproduce the scalar loop exactly, not approximately.
+        The run stops with jobs still live, so their flows are inspected
+        mid-flight as well as after they drained.
         """
-        def run():
-            topo = TreeTopology(n_pods=2, racks_per_pod=2,
-                                servers_per_rack=4, slots_per_server=4,
-                                link_rate=units.gbps(10),
-                                oversubscription=2.0)
-            manager = LocalityPlacementManager(topo)
-            sim = ClusterSim(manager, sharing="maxmin")
-            workload = TenantWorkload(
-                WorkloadConfig(b_flow_bytes=20 * units.MB,
-                               mean_compute_time=0.5),
-                arrival_rate=6.0, seed=9)
-            return sim.run(workload, until=8.0)
+        topo = TreeTopology(n_pods=2, racks_per_pod=2, servers_per_rack=4,
+                            slots_per_server=4, link_rate=units.gbps(10),
+                            oversubscription=2.0)
+        sim = ClusterSim(LocalityPlacementManager(topo), sharing="maxmin")
+        built = []
+        build_flows = sim._build_flows
 
-        original = sim_module._BATCH_MIN
-        try:
-            sim_module._BATCH_MIN = 10 ** 9   # always scalar
-            scalar = run()
-            sim_module._BATCH_MIN = 1         # always batch
-            batched = run()
-        finally:
-            sim_module._BATCH_MIN = original
-        assert batched.finished_jobs == scalar.finished_jobs
-        assert batched.job_durations == scalar.job_durations
-        assert batched.carried_bytes == scalar.carried_bytes
-        assert batched.network_utilization == scalar.network_utilization
+        def recording_build_flows(arrival, vm_servers):
+            flows = build_flows(arrival, vm_servers)
+            built.extend(flows)
+            return flows
+
+        sim._build_flows = recording_build_flows
+        workload = TenantWorkload(
+            WorkloadConfig(b_flow_bytes=20 * units.MB,
+                           mean_compute_time=0.5),
+            arrival_rate=6.0, seed=9)
+        sim.run(workload, until=4.0)
+        live = [flow for job in sim.jobs.values() for flow in job.flows]
+        assert live and len(built) > len(live)
+        for flow in built:
+            for value in (flow.remaining, flow.rate, flow.updated):
+                assert type(value) is float, repr(flow)
+            assert "np.float64" not in repr(flow)

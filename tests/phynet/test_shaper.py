@@ -3,8 +3,8 @@
 import pytest
 
 from repro import units
+from repro.core.engine import EventEngine
 from repro.pacer.hierarchy import PacerConfig
-from repro.phynet.engine import Simulator
 from repro.phynet.shaper import VMShaper
 
 
@@ -18,7 +18,7 @@ class FakePacket:
 
 def build(bandwidth=units.gbps(2), burst=1.5 * units.KB,
           peak=None):
-    sim = Simulator()
+    sim = EventEngine()
     released = []
     config = PacerConfig(bandwidth=bandwidth, burst=burst,
                          peak_rate=peak or bandwidth)

@@ -3,8 +3,8 @@
 :class:`repro.phynet.shaper.VMShaper` skips and memoizes work the plain
 scan does (see its module docstring for the exact selection rule).  The
 property below drives it and the reference
-:class:`shaper_oracle.LinearScanShaper` through the same random steps --
-submits to up to twelve destinations with mixed and equal packet sizes,
+:class:`oracles.shaper_oracle.LinearScanShaper` through the same random
+steps -- submits to up to twelve destinations with mixed and equal packet sizes,
 releases that submit follow-up packets at the same instant, hose rate
 changes, clock advances -- and asserts the same packets leave in the
 same order at bit-equal times, with the same timer generations and the
@@ -19,7 +19,7 @@ from repro.core.engine import EventEngine
 from repro.pacer.hierarchy import PacerConfig
 from repro.phynet.shaper import VMShaper
 
-from shaper_oracle import LinearScanShaper
+from oracles.shaper_oracle import LinearScanShaper
 
 # Power-of-two sizes, rates and times keep the bucket arithmetic exact,
 # so distinct destinations often become eligible at exactly the same

@@ -2,8 +2,9 @@
 
 ``PortState.admits``/``backlog``/``queue_bound`` use the closed-form
 dual-rate expressions from :mod:`repro.netcalc.fastbounds`; the
-``*_reference`` methods rebuild the conservative aggregate
-:class:`~repro.netcalc.curves.Curve` per probe, exactly as the seed did.
+``*_reference`` oracles in ``tests/oracles/placement_reference.py``
+rebuild the conservative aggregate :class:`~repro.netcalc.curves.Curve`
+per probe, exactly as the seed did.
 These property tests drive both over randomized port states and probes --
 at unit scale and at Gbps/byte scale, where epsilon bugs hide -- and
 demand identical accept/reject decisions and matching bounds.
@@ -23,6 +24,10 @@ from repro.placement import SiloPlacementManager
 from repro.placement.state import Contribution, PortState
 from repro.topology import TreeTopology
 from repro.topology.switch import Port, PortKind
+
+from oracles.placement_reference import (ReferenceSiloPlacementManager,
+                                         admits_reference, backlog_reference,
+                                         queue_bound_reference)
 
 #: (capacity, buffer) regimes: toy unit scale, tight Gbps, roomy Gbps.
 _PORTS = [
@@ -66,11 +71,11 @@ def test_closed_form_matches_curve_oracle(port_idx, base, probe):
         state.add(_contribution(capacity, *params))
     extra = _contribution(capacity, *probe)
 
-    assert state.admits(extra) == state.admits_reference(extra)
+    assert state.admits(extra) == admits_reference(state, extra)
     assert state.backlog(extra) == pytest.approx(
-        state.backlog_reference(extra), rel=1e-9, abs=1e-9)
+        backlog_reference(state, extra), rel=1e-9, abs=1e-9)
     assert state.queue_bound(extra) == pytest.approx(
-        state.queue_bound_reference(extra), rel=1e-9, abs=1e-12)
+        queue_bound_reference(state, extra), rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -84,9 +89,9 @@ def test_standing_bounds_match_oracle(port_idx, base):
         state.add(_contribution(capacity, *params))
 
     assert state.backlog() == pytest.approx(
-        state.backlog_reference(), rel=1e-9, abs=1e-9)
+        backlog_reference(state), rel=1e-9, abs=1e-9)
     qb = state.queue_bound()
-    qb_ref = state.queue_bound_reference()
+    qb_ref = queue_bound_reference(state)
     if math.isinf(qb_ref):
         assert math.isinf(qb)
     else:
@@ -95,7 +100,7 @@ def test_standing_bounds_match_oracle(port_idx, base):
 
 def test_fast_and_reference_managers_agree_on_campaign():
     """End-to-end: identical admission decisions and VM layouts for a
-    churning campaign with fast paths on vs off (the seed path)."""
+    churning campaign from the shipped manager and the seed walk."""
     import sys
     from pathlib import Path
     sys.path.insert(0, str(Path(__file__).resolve().parents[2]
@@ -104,8 +109,8 @@ def test_fast_and_reference_managers_agree_on_campaign():
 
     topology = bench_hotpaths._campaign_topology(1, 4)
     fast = SiloPlacementManager(topology)
-    ref = SiloPlacementManager(bench_hotpaths._campaign_topology(1, 4),
-                               fast_paths=False)
+    ref = ReferenceSiloPlacementManager(
+        bench_hotpaths._campaign_topology(1, 4))
     fast_dec, fast_lay = bench_hotpaths._run_campaign(fast, 120, seed=3)
     ref_dec, ref_lay = bench_hotpaths._run_campaign(ref, 120, seed=3)
     assert fast_dec == ref_dec
@@ -118,16 +123,15 @@ def test_fast_and_reference_managers_agree_under_faults(min_fault_domains):
     when cordons, NIC-up/ToR-down poisons and tenants wider than one
     server interleave with admissions and removals -- the paths the
     rack/pod skips and the wholly-pristine-rack step touch."""
-    def build(fast_paths):
+    def build(manager_cls):
         topology = TreeTopology(n_pods=3, racks_per_pod=3,
                                 servers_per_rack=4, slots_per_server=4,
                                 link_rate=units.gbps(10),
                                 oversubscription=5.0)
-        return SiloPlacementManager(topology,
-                                    min_fault_domains=min_fault_domains,
-                                    fast_paths=fast_paths)
+        return manager_cls(topology, min_fault_domains=min_fault_domains)
 
-    fast, ref = build(True), build(False)
+    fast = build(SiloPlacementManager)
+    ref = build(ReferenceSiloPlacementManager)
     topology = fast.topology
     rng = random.Random(5)
     placed, cordoned, poisons = [], [], []
@@ -189,19 +193,20 @@ def test_fill_steps_over_a_pristine_rack_onto_the_next_server():
     pristine rack that follows in one go and still tries the very next
     server -- here the one whose larger balanced share fits the tenant,
     exactly as the server-by-server reference walk finds it."""
-    def build(fast_paths):
+    def build(manager_cls):
         topology = TreeTopology(n_pods=1, racks_per_pod=3,
                                 servers_per_rack=2, slots_per_server=4,
                                 link_rate=units.gbps(10),
                                 oversubscription=1.0)
-        manager = SiloPlacementManager(topology, fast_paths=fast_paths)
+        manager = manager_cls(topology)
         for server in (4, 5):  # rack 2 touched, its ports still empty
             manager.adopt(TenantRequest(
                 n_vms=1, guarantee=None,
                 tenant_class=TenantClass.BEST_EFFORT), {server: 1})
         return manager
 
-    fast, ref = build(True), build(False)
+    fast = build(SiloPlacementManager)
+    ref = build(ReferenceSiloPlacementManager)
     # Five senders' bursts overflow an empty server's ToR-down buffer
     # (so server 0 fails with its balanced share of one VM), three fit.
     request = TenantRequest(n_vms=6, guarantee=NetworkGuarantee(

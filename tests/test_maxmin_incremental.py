@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.maxmin import (IncrementalMaxMin, max_min_fair,
-                          max_min_fair_reference)
+from repro.maxmin import IncrementalMaxMin, max_min_fair
+
+from oracles.maxmin_reference import max_min_fair_reference
 
 
 def _assert_matches(inc, flows, capacities):
